@@ -5,9 +5,8 @@ import repro.core._
 import repro.rdf.RdfGen
 import repro.spade._
 
-/** Shared implementations of the paper-table benchmarks. Both the
-  * `bench/` ScalaTest suites and the `jobs/` spark-submit entrypoints call
-  * these, so a table is regenerated identically from either.
+/** Shared implementations of the paper-table benchmarks, called by the
+  * `bench/` ScalaTest suites (one suite per table).
   *
   * Times are wall-clock milliseconds of the Aggregate Evaluation step only
   * (identification/preparation is shared by all compared systems, exactly

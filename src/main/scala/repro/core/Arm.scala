@@ -45,12 +45,4 @@ final class Arm(val h: Interestingness) {
   /** k best fully-evaluated MDAs by interestingness, deterministic ties. */
   def topK(k: Int): Seq[(MdaKey, Double)] =
     scores.toSeq.sortBy { case (key, s) => (-s, key.toString) }.take(k)
-
-  /** Exact score of the current k-th best (the early-stop pruning
-    * threshold); -∞ while fewer than k MDAs are evaluated.
-    */
-  def kthBestScore(k: Int): Double = {
-    val top = topK(k)
-    if (top.size < k) Double.NegativeInfinity else top.last._2
-  }
 }

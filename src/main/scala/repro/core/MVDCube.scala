@@ -33,8 +33,8 @@ import repro.earlystop.EarlyStop
   *
   * With early-stop, evaluation becomes three single-job phases (paper
   * §5.3): exact group counts (also the `count(*)` MDAs and the c_i sizes),
-  * one stratified-sampling pass feeding the moment accumulator, then the
-  * measure aggregation restricted to surviving nodes.
+  * one stratified-sampling aggregation of per-group sample moments, then
+  * the measure aggregation restricted to surviving nodes.
   *
   * `evaluateLatticeChained` is the literal MMST transcription (each node's
   * frame derived from its spanning-tree parent); it is semantically
@@ -98,15 +98,6 @@ object MVDCube {
       .select(col("e.node").as("node"), col("e.gk").as("gk"), col("fact"))
       .distinct()
   }
-
-  /** Evaluate one lattice with MVDCube — see [[evaluateCfs]], of which this
-    * is the single-lattice special case.
-    */
-  def evaluateLattice(cfsName: String, spec: LatticeSpec, bag: DataFrame,
-                      facts: DataFrame, preAgg: PreAgg.PreAggFrame,
-                      attrStats: Map[String, AttrStats], arm: Arm,
-                      es: Option[EarlyStop] = None): EvalStats =
-    evaluateCfs(cfsName, Seq(spec), bag, facts, preAgg, attrStats, arm, es)
 
   /** Evaluate ALL lattices of one CFS with MVDCube, feeding results into
     * the ARM.
@@ -244,7 +235,7 @@ object MVDCube {
         }.withDefaultValue(Map.empty)
         addCountResults(countsByNode, valueIdx = 2)
 
-        // ---- Phase 2: early-stop pruning — one cheap sampling job (hash-
+        // ---- Phase 2: early-stop pruning — one sampling aggregation (hash-
         // Bernoulli stratified selection, only the sampled rows meet the
         // measures), then the driver's batched CI loop.
         val decisions = runner.filterLattice(
@@ -283,7 +274,7 @@ object MVDCube {
     * fact-distinct frame is derived from its spanning-tree parent's frame
     * (`select(childDims, fact).distinct()` = bitmap propagation + OR) and
     * evaluated with its own jobs. Semantically identical to
-    * `evaluateLattice`; used as a differential-testing oracle.
+    * `evaluateCfs`; used as a differential-testing oracle.
     */
   def evaluateLatticeChained(cfsName: String, spec: LatticeSpec, bag: DataFrame,
                              facts: DataFrame, preAgg: PreAgg.PreAggFrame,

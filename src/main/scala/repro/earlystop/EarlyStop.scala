@@ -1,10 +1,11 @@
 package repro.earlystop
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import repro.core.{Arm, Interestingness}
 import repro.spade._
+import scala.collection.mutable
 
 /** Early-stop aggregate pruning (paper §5).
   *
@@ -16,7 +17,7 @@ import repro.spade._
   * A-C) and prunes every MDA whose CI upper bound falls below the k-th best
   * lower bound seen so far. Pruned MDAs skip measure computation.
   *
-  * Estimators per aggregate function:
+  * Estimators per aggregate function (see [[EarlyStop.ci]]):
   *  - `avg`: group estimate = mean of per-fact averages, CI via delta
   *    method with per-group variance sigma^2_i / n_i;
   *  - `sum`: S_i = c_i * Ybar_i with exact group sizes c_i (Appendix B; the
@@ -33,53 +34,34 @@ import repro.spade._
   * standard eps = z * sqrt(sum_s (dh/dy_s)² * Var(Yhat_s)), noted in
   * EXPERIMENTS.md.
   *
-  * Implementation: ALL nodes of a lattice are handled in ONE Spark job over
-  * the lattice's membership frame `(node, gk, fact)` — a window per
-  * `(node, group)` keeps the first `sampleSize` facts in deterministic hash
-  * order (equivalent to the paper's reservoir: both yield a uniform sample
-  * per stratum) and measures the exact group total on the way (these totals
-  * become the `count(*)` MDAs and the c_i of the sum estimator). Executors
-  * fold per-(node, group, measure, batch) moments into a custom
-  * `MomentAccumulator` — the "accumulator-based stopping condition" of the
-  * reproduction brief — and the driver replays the batch loop over the
-  * accumulated moments. The pruning threshold combines the exact scores the
-  * ARM holds so far with the CI lower bounds of the still-alive estimates,
-  * exactly the paper's Figure 5 procedure.
+  * Implementation: ALL nodes of a lattice are sampled in ONE aggregation
+  * over the lattice's membership frame `(node, gk, fact)`: a per-fact hash
+  * keeps each fact with its group's probability min(1, sampleSize / c_g),
+  * a second hash assigns it a batch, and one `groupBy(node, gk, batch)`
+  * returns the per-batch sample moments of every measure. The driver folds
+  * them into cumulative moments and replays the batch loop. The pruning
+  * threshold combines the exact scores the ARM holds so far with the CI
+  * lower bounds of the still-alive estimates, exactly the paper's Figure 5
+  * procedure.
   */
 final class EarlyStop(h: Interestingness, cfg: EsConfig, k: Int, arm: Arm,
                       seed: Long = 42L) {
+  import EarlyStop._
 
   private val z = Stats.zFor(cfg.alpha)
-  private val batchSize = math.max(1, cfg.sampleSize / cfg.batches)
-
-  /** Number of sampling jobs run (one per lattice). */
-  var sampledLattices: Int = 0
-
-  /** Separator between node tag and group key inside moment keys (tags are
-    * comma-joined attribute names and never contain it).
-    */
-  private val TagSep = "\u0000"
-
-  private def kindFor(fn: AggFn): Int = fn match {
-    case AggFn.Avg => Kind.Avg
-    case AggFn.Sum => Kind.Sum
-    case AggFn.Min => Kind.Min
-    case AggFn.Max => Kind.Max
-    case AggFn.Count => throw new IllegalArgumentException("count(*) is evaluated exactly")
-  }
 
   /** Decide, for every node of one lattice, which candidate measure MDAs
     * survive.
     *
     * Sampling strategy: the paper fills one reservoir per aggregate group.
-    * A sort-based per-group top-`sampleSize` (window `row_number`) would
-    * cost as much as the aggregation early-stop tries to avoid, so the
-    * distributed adaptation is **hash-Bernoulli stratified selection**:
-    * from the exact group sizes (counts phase) the driver computes a keep
-    * probability p_g = min(1, sampleSize / c_g) per (node, group); a
-    * deterministic per-fact hash then selects ~sampleSize facts per group
-    * in a plain filter — a simple random sample per stratum, no sort.
-    * Only the selected rows are joined with the measures.
+    * A sort-based per-group top-`sampleSize` would cost as much as the
+    * aggregation early-stop tries to avoid, so the distributed adaptation
+    * is **hash-Bernoulli stratified selection**: a window count gives each
+    * row its group size c_g and thus a keep probability
+    * p_g = min(1, sampleSize / c_g); a deterministic per-fact hash then
+    * selects ~sampleSize facts per group in a plain filter — a simple
+    * random sample per stratum, no sort. Only the selected rows are joined
+    * with the measures.
     *
     * @param cells lattice membership frame `(node, gk, fact)`, fact-distinct
     * @param candidatesByTag per node tag, the not-yet-evaluated measure MDAs
@@ -93,128 +75,80 @@ final class EarlyStop(h: Interestingness, cfg: EsConfig, k: Int, arm: Arm,
     val active = candidatesByTag.filter(_._2.nonEmpty)
     if (active.isEmpty)
       return candidatesByTag.map { case (t, c) => t -> ((c, Seq.empty[MdaKey])) }
-    sampledLattices += 1
-    val spark = cells.sparkSession
-    import spark.implicits._
     val activeTags = active.keys.toSeq.sorted
     val measures = active.valuesIterator.flatten.map(_.measure).toSeq.distinct.sorted
     val mIdx = measures.zipWithIndex.toMap
-    val kindsNeeded: Map[String, Set[Int]] =
-      active.valuesIterator.flatten.toSeq.groupBy(_.measure)
-        .map { case (m, ks) => m -> ks.map(x => kindFor(x.fn)).toSet }
 
-    // Per-group keep probabilities from the exact sizes.
-    val probRows: Seq[(String, String, Double)] = for {
-      t <- activeTags
-      (g, c) <- groupSizes.getOrElse(t, Map.empty).toSeq
-    } yield (t, g, math.min(1.0, cfg.sampleSize.toDouble / math.max(1L, c)))
-    val probDf = broadcast(probRows.toDF("node", "gk", "p"))
-
-    // One cheap sampling job: hash filter, then measures for sampled rows
-    // only; a second hash splits the sample into the batches.
-    val u = (pmod(xxhash64(col("fact"), lit(seed)), lit(1000000L)).cast("double") / 1000000.0)
-    val base0 = cells.filter(col("node").isin(activeTags: _*))
-      .join(probDf, Seq("node", "gk"))
+    // One sampling aggregation: hash filter against the in-plan keep
+    // probability, measures joined for sampled rows only, a second hash
+    // splitting the sample into batches.
+    val groupSize = count(lit(1)).over(Window.partitionBy("node", "gk"))
+    val u = pmod(xxhash64(col("fact"), lit(seed)), lit(1000000L)).cast("double") / 1000000.0
+    val sampled = cells.filter(col("node").isin(activeTags: _*))
+      .withColumn("p", least(lit(1.0), lit(cfg.sampleSize.toDouble) / greatest(groupSize, lit(1L))))
       .filter(u < col("p"))
-    val joined = base0.join(broadcast(preAgg.df), Seq("fact"), "left")
-    val sampled = joined.select(col("node") +: col("gk") +:
-        pmod(xxhash64(col("fact"), lit(seed + 1)), lit(cfg.batches)).cast("int").as("batch") +:
-        measures.flatMap(m => Seq(
-          col(preAgg.cntCol(m)), col(preAgg.sumCol(m)),
-          col(preAgg.minCol(m)), col(preAgg.maxCol(m)))): _*)
+      .join(broadcast(preAgg.df), Seq("fact"), "left")
+      .withColumn("batch", pmod(xxhash64(col("fact"), lit(seed + 1)), lit(cfg.batches)).cast("int"))
+    // Per measure: facts with a value, Σ and Σ² of the per-fact avg and
+    // sum, min of the per-fact mins and max of the per-fact maxes.
+    val momentCols: Seq[Column] = measures.flatMap { m =>
+      val cnt = col(preAgg.cntCol(m)); val s = col(preAgg.sumCol(m))
+      def valued(x: Column) = when(cnt > 0, x)
+      val avg = s / cnt
+      Seq(count(valued(lit(1))), sum(valued(avg)), sum(valued(avg * avg)),
+          sum(valued(s)), sum(valued(s * s)),
+          min(valued(col(preAgg.minCol(m)))), max(valued(col(preAgg.maxCol(m)))))
+    }
+    val rows = sampled.groupBy("node", "gk", "batch")
+      .agg(momentCols.head, momentCols.tail: _*).collect()
 
-    val acc = new MomentAccumulator
-    spark.sparkContext.register(acc, "earlyStopMoments")
-    val nMeasures = measures.size
-    val kindsArr: Array[Set[Int]] = measures.map(kindsNeeded).toArray
-    val nBatches = cfg.batches // local copies: the closure must not capture `this`
-    val tagSep = TagSep
-    sampled.foreachPartition { rows: Iterator[org.apache.spark.sql.Row] =>
-      rows.foreach { r =>
-        val group = r.getString(0) + tagSep + r.getString(1)
-        val batch = math.min(r.getInt(2), nBatches - 1)
-        var i = 0
-        while (i < nMeasures) {
-          val base = 3 + i * 4
-          if (!r.isNullAt(base) && r.getLong(base) > 0) {
-            val cnt = r.getLong(base)
-            val sumV = r.getDouble(base + 1)
-            val kinds = kindsArr(i)
-            if (kinds.contains(Kind.Avg)) acc.add((MomentKey(group, i, Kind.Avg, batch), sumV / cnt))
-            if (kinds.contains(Kind.Sum)) acc.add((MomentKey(group, i, Kind.Sum, batch), sumV))
-            if (kinds.contains(Kind.Min)) acc.add((MomentKey(group, i, Kind.Min, batch), r.getDouble(base + 2)))
-            if (kinds.contains(Kind.Max)) acc.add((MomentKey(group, i, Kind.Max, batch), r.getDouble(base + 3)))
-          }
-          i += 1
+    // Fold the rows once into cumulative moments: cum((node, gk))(b)(slot)
+    // covers batches 0..b.
+    val cum = mutable.Map.empty[(String, String), Array[Array[Stats.Moments]]]
+    rows.foreach { r =>
+      val byBatch = cum.getOrElseUpdate((r.getString(0), r.getString(1)),
+        Array.fill(cfg.batches, measures.size * SlotsPerMeasure)(new Stats.Moments))
+      for (i <- measures.indices) {
+        val o = 3 + i * 7 // node, gk, batch, then 7 moment columns per measure
+        val n = r.getLong(o)
+        if (n > 0) {
+          val cell = Seq(
+            AggFn.Avg -> Stats.Moments(n, r.getDouble(o + 1), r.getDouble(o + 2)),
+            AggFn.Sum -> Stats.Moments(n, r.getDouble(o + 3), r.getDouble(o + 4)),
+            AggFn.Min -> Stats.Moments(n, min = r.getDouble(o + 5)),
+            AggFn.Max -> Stats.Moments(n, max = r.getDouble(o + 6)))
+          for ((fn, m) <- cell; b <- r.getInt(2) until cfg.batches)
+            byBatch(b)(slot(i, fn)).merge(m)
         }
       }
     }
-    val moments = acc.value
 
-    // Cumulative per-(node, group, measure, kind) moments up to batch b.
-    def cumulative(tag: String, groups: Seq[String], m: String, kind: Int,
-                   upToBatch: Int): Map[String, Stats.Moments] = {
-      val out = scala.collection.mutable.Map.empty[String, Stats.Moments]
-      var b = 0
-      while (b <= upToBatch) {
-        groups.foreach { g =>
-          moments.get(MomentKey(tag + TagSep + g, mIdx(m), kind, b)).foreach { mm =>
-            out.getOrElseUpdate(g, new Stats.Moments).merge(mm)
-          }
-        }
-        b += 1
-      }
-      out.toMap
-    }
-
-    final case class Ci(lower: Double, upper: Double)
-
-    def ciFor(tag: String, key: MdaKey, upToBatch: Int): Ci = {
-      val sizes = groupSizes.getOrElse(tag, Map.empty)
-      val groups = sizes.keys.toSeq.sorted
-      val kind = kindFor(key.fn)
-      val cum = cumulative(tag, groups, key.measure, kind, upToBatch)
-      val present = groups.filter(g => cum.get(g).exists(_.n > 0))
-      if (present.size < 2) return Ci(0.0, 0.0) // degenerate: score is 0
-      key.fn match {
-        case AggFn.Avg | AggFn.Sum =>
-          val scale: String => Double =
-            if (key.fn == AggFn.Sum) g => sizes(g).toDouble else _ => 1.0
-          val y = present.map(g => scale(g) * cum(g).mean).toArray
-          val varTerms = present.map { g =>
-            val m = cum(g); val s = scale(g)
-            s * s * m.variance / math.max(1L, m.n)
-          }.toArray
-          val score = h.score(y)
-          val grad = h.gradient(y)
-          val eps = z * math.sqrt(grad.zip(varTerms).map { case (g, v) => g * g * v }.sum)
-          Ci(score - eps, score + eps)
-        case AggFn.Min | AggFn.Max =>
-          val y = present.map { g =>
-            if (key.fn == AggFn.Min) cum(g).min else cum(g).max
-          }.toArray
-          val score = h.score(y)
-          if (h == Interestingness.Variance) {
-            val st = attrStats(key.measure)
-            val span = (for (lo <- st.minNum; hi <- st.maxNum) yield hi - lo).getOrElse(0.0)
-            Ci(0.0, math.max(score, 0.25 * span * span)) // Popoviciu upper bound
-          } else Ci(Double.NegativeInfinity, Double.PositiveInfinity)
-        case AggFn.Count =>
-          throw new IllegalStateException("count(*) is evaluated exactly, not estimated")
-      }
+    val sortedGroups: Map[String, Seq[(String, Long)]] =
+      activeTags.map(t => t -> groupSizes.getOrElse(t, Map.empty).toSeq.sortBy(_._1)).toMap
+    def span(m: String): Double = attrStats.get(m)
+      .flatMap(st => for (lo <- st.minNum; hi <- st.maxNum) yield hi - lo).getOrElse(0.0)
+    def ciAt(tag: String, key: MdaKey, b: Int): Ci = {
+      val s = slot(mIdx(key.measure), key.fn)
+      val present = for {
+        (g, c) <- sortedGroups(tag)
+        byBatch <- cum.get((tag, g))
+        m = byBatch(b)(s) if m.n > 0
+      } yield (c, m)
+      ci(h, z, key.fn, present, span(key.measure))
     }
 
     // Batch loop over ALL candidates of the lattice at once (paper Fig. 5).
     var alive: Vector[(String, MdaKey)] =
       activeTags.flatMap(t => active(t).map(t -> _)).toVector
-    val cut = scala.collection.mutable.ArrayBuffer.empty[(String, MdaKey)]
+    val cut = mutable.ArrayBuffer.empty[(String, MdaKey)]
     var b = 0
     var prunedInLastBatch = true
     while (b < cfg.batches && alive.nonEmpty && (prunedInLastBatch || b == 0)) {
-      val cis = alive.map { case (t, kk) => (t, kk) -> ciFor(t, kk, b) }.toMap
+      val cis = alive.map { case (t, kk) => (t, kk) -> ciAt(t, kk, b) }.toMap
+      // Arm.topK ranks a NaN score last, so a NaN bound must not set the bar.
       val lowerBounds =
-        arm.all.map { case (kk, _) => arm.score(kk).get } ++
-          alive.map(tk => cis(tk).lower)
+        (arm.all.map { case (kk, _) => arm.score(kk).get } ++ alive.map(tk => cis(tk).lower))
+          .filterNot(_.isNaN)
       val threshold =
         if (lowerBounds.size < k) Double.NegativeInfinity
         else lowerBounds.sorted(Ordering[Double].reverse)(k - 1)
@@ -230,6 +164,57 @@ final class EarlyStop(h: Interestingness, cfg: EsConfig, k: Int, arm: Arm,
     candidatesByTag.map { case (t, c) =>
       if (c.isEmpty) t -> ((Seq.empty[MdaKey], Seq.empty[MdaKey]))
       else t -> ((keptByTag.getOrElse(t, Seq.empty), cutByTag.getOrElse(t, Seq.empty)))
+    }
+  }
+}
+
+object EarlyStop {
+
+  final case class Ci(lower: Double, upper: Double)
+
+  private val SlotsPerMeasure = 4
+
+  /** Index of one measure's moments for `fn` among a group's moment cells. */
+  private def slot(measure: Int, fn: AggFn): Int = measure * SlotsPerMeasure + (fn match {
+    case AggFn.Avg => 0
+    case AggFn.Sum => 1
+    case AggFn.Min => 2
+    case AggFn.Max => 3
+    case AggFn.Count => throw new IllegalArgumentException("count(*) is evaluated exactly")
+  })
+
+  /** Confidence interval of one measure MDA's interestingness score.
+    *
+    * @param groups per aggregate group present in the sample, in group-key
+    *               order: its exact size c_g and the sample moments of the
+    *               per-fact value `fn` aggregates (per-fact avg for `avg`,
+    *               sum for `sum`, min/max for `min`/`max`)
+    * @param span   b_max − b_min over the measure's values, for the
+    *               Popoviciu bound of `min`/`max` under variance
+    */
+  def ci(h: Interestingness, z: Double, fn: AggFn,
+         groups: Seq[(Long, Stats.Moments)], span: Double): Ci = {
+    if (groups.size < 2) return Ci(0.0, 0.0) // degenerate: score is 0
+    fn match {
+      case AggFn.Avg | AggFn.Sum =>
+        val scale: Long => Double = if (fn == AggFn.Sum) _.toDouble else _ => 1.0
+        val y = groups.map { case (c, m) => scale(c) * m.mean }.toArray
+        val varTerms = groups.map { case (c, m) =>
+          val s = scale(c)
+          s * s * m.variance / math.max(1L, m.n)
+        }
+        val score = h.score(y)
+        val grad = h.gradient(y)
+        val eps = z * math.sqrt(grad.zip(varTerms).map { case (g, v) => g * g * v }.sum)
+        Ci(score - eps, score + eps)
+      case AggFn.Min | AggFn.Max =>
+        val y = groups.map { case (_, m) => if (fn == AggFn.Min) m.min else m.max }.toArray
+        val score = h.score(y)
+        if (h == Interestingness.Variance)
+          Ci(0.0, math.max(score, 0.25 * span * span)) // Popoviciu upper bound
+        else Ci(Double.NegativeInfinity, Double.PositiveInfinity)
+      case AggFn.Count =>
+        throw new IllegalStateException("count(*) is evaluated exactly, not estimated")
     }
   }
 }

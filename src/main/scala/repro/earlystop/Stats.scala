@@ -36,7 +36,7 @@ object Stats {
   def zFor(alpha: Double): Double = normalQuantile(1 - alpha / 2)
 
   /** Running moments of one (group, measure-kind, batch) cell. */
-  final class Moments extends Serializable {
+  final class Moments {
     var n: Long = 0L
     var sum: Double = 0.0
     var sum2: Double = 0.0
@@ -56,6 +56,16 @@ object Stats {
     /** Unbiased sample variance; 0 for fewer than two observations. */
     def variance: Double =
       if (n < 2) 0.0 else math.max(0.0, (sum2 - sum * sum / n) / (n - 1))
-    def copy(): Moments = { val m = new Moments; m.merge(this); m }
+  }
+
+  object Moments {
+    /** Moments of `n` observations already aggregated elsewhere. */
+    def apply(n: Long, sum: Double = 0.0, sum2: Double = 0.0,
+              min: Double = Double.PositiveInfinity,
+              max: Double = Double.NegativeInfinity): Moments = {
+      val m = new Moments
+      m.n = n; m.sum = sum; m.sum2 = sum2; m.min = min; m.max = max
+      m
+    }
   }
 }

@@ -60,7 +60,7 @@ object Fixtures {
                   h: Interestingness = Interestingness.Variance,
                   es: Option[repro.earlystop.EarlyStop] = None): Arm = {
     val arm = new Arm(h)
-    MVDCube.evaluateLattice(cfsName, spec, c.bag, c.facts, c.preAgg, c.stats, arm, es)
+    MVDCube.evaluateCfs(cfsName, Seq(spec), c.bag, c.facts, c.preAgg, c.stats, arm, es)
     arm
   }
 

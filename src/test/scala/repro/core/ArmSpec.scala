@@ -26,14 +26,6 @@ class ArmSpec extends AnyFunSuite {
     assert(arm.topK(2).map(_._1) === Seq(k("a"), k("c")))
   }
 
-  test("kthBestScore is -inf until k results exist, then the k-th score") {
-    val arm = new Arm(Interestingness.Variance)
-    arm.add(k("a"), res(0, 100))
-    assert(arm.kthBestScore(2) === Double.NegativeInfinity)
-    arm.add(k("b"), res(0, 10))
-    assert(arm.kthBestScore(2) === Interestingness.Variance.score(Array(0, 10)))
-  }
-
   test("contains covers evaluated and pruned; pruned never enters topK") {
     val arm = new Arm(Interestingness.Variance)
     arm.add(k("a"), res(0, 100))

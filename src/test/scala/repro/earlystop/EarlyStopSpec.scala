@@ -5,8 +5,8 @@ import repro.Fixtures._
 import repro.core._
 import repro.spade._
 
-/** Early-stop behavior: pruning correctness on controlled data, the
-  * accumulator, and end-to-end agreement of the surviving top-k.
+/** Early-stop behavior: pruning correctness on controlled data and
+  * end-to-end agreement of the surviving top-k.
   */
 class EarlyStopSpec extends SparkSpec {
 
@@ -37,7 +37,7 @@ class EarlyStopSpec extends SparkSpec {
       arm.add(MdaKey("seed", Seq("z"), "*", AggFn.Count), AggResult(Array("a", "b"), vs))
     }
     val es = new EarlyStop(Interestingness.Variance, EsConfig(), k, arm)
-    MVDCube.evaluateLattice("es", spec, c.bag, c.facts, c.preAgg, c.stats, arm, Some(es))
+    MVDCube.evaluateCfs("es", Seq(spec), c.bag, c.facts, c.preAgg, c.stats, arm, Some(es))
     arm
   }
 
@@ -46,7 +46,7 @@ class EarlyStopSpec extends SparkSpec {
     assert(arm.prunedCount > 0, "expected at least one pruned MDA")
     // The most interesting MDA (variance of sums of hot) must not be pruned.
     val best = new Arm(Interestingness.Variance)
-    MVDCube.evaluateLattice("es", spec, c.bag, c.facts, c.preAgg, c.stats, best, None)
+    MVDCube.evaluateCfs("es", Seq(spec), c.bag, c.facts, c.preAgg, c.stats, best, None)
     val trueTop = best.topK(1).head._1
     assert(arm.isEvaluated(trueTop), s"true top-1 $trueTop was pruned")
     assert(arm.topK(1).head._1 === trueTop)
@@ -66,7 +66,7 @@ class EarlyStopSpec extends SparkSpec {
   test("top-k accuracy: ES top-3 equals exhaustive top-3 on this data") {
     val withEs = runWithEs(k = 3)
     val full = new Arm(Interestingness.Variance)
-    MVDCube.evaluateLattice("es", spec, c.bag, c.facts, c.preAgg, c.stats, full, None)
+    MVDCube.evaluateCfs("es", Seq(spec), c.bag, c.facts, c.preAgg, c.stats, full, None)
     val a = withEs.topK(3).map(_._1).toSet
     val b = full.topK(3).map(_._1).toSet
     assert((a intersect b).size >= 2, s"ES top-3 too different: $a vs $b")
@@ -84,28 +84,12 @@ class EarlyStopSpec extends SparkSpec {
     assert(arm.result(ck).get.values.sum === 480.0)
   }
 
-  test("MomentAccumulator merges partial maps like a single accumulation") {
-    val a = new MomentAccumulator
-    val b = new MomentAccumulator
-    val whole = new MomentAccumulator
-    val k1 = MomentKey("g", 0, Kind.Avg, 0)
-    val k2 = MomentKey("g", 0, Kind.Avg, 1)
-    Seq(1.0, 2.0).foreach(x => { a.add((k1, x)); whole.add((k1, x)) })
-    Seq(3.0, 4.0).foreach(x => { b.add((k1, x)); whole.add((k1, x)) })
-    b.add((k2, 9.0)); whole.add((k2, 9.0))
-    a.merge(b)
-    assert(a.value(k1).n === whole.value(k1).n)
-    assert(a.value(k1).sum === whole.value(k1).sum)
-    assert(a.value(k2).max === 9.0)
-  }
-
-  test("MomentAccumulator copy/reset/isZero protocol") {
-    val a = new MomentAccumulator
-    assert(a.isZero)
-    a.add((MomentKey("g", 0, Kind.Sum, 0), 1.0))
-    assert(!a.isZero)
-    val cpy = a.copy()
-    a.reset()
-    assert(a.isZero && !cpy.isZero)
+  test("a NaN exact score does not become the pruning threshold") {
+    // The seeded MDA scores NaN (as a "NaN" measure literal would); it must
+    // rank nowhere, so pruning matches the run without it.
+    val withNaN = runWithEs(k = 1, prefill = Some(Double.NaN))
+    assert(withNaN.score(MdaKey("seed", Seq("z"), "*", AggFn.Count)).get.isNaN)
+    assert(withNaN.prunedCount > 0)
+    assert(withNaN.prunedCount === runWithEs(k = 1).prunedCount)
   }
 }
